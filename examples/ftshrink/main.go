@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"mv2j/internal/core"
@@ -22,18 +24,30 @@ import (
 
 const iters = 8
 
-var stdout sync.Mutex
+// printer serialises the rank goroutines' lines onto one writer.
+type printer struct {
+	mu  sync.Mutex
+	out io.Writer
+}
 
-func say(format string, args ...any) {
-	stdout.Lock()
-	defer stdout.Unlock()
-	fmt.Printf(format+"\n", args...)
+func (p *printer) say(format string, args ...any) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fmt.Fprintf(p.out, format+"\n", args...)
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the job, printing the recovery story to out.
+func run(out io.Writer) error {
+	pr := &printer{out: out}
 	plan, err := faults.ParseSpec("crash=2@60us")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := core.Config{
 		Nodes: 1, PPN: 4,
@@ -42,14 +56,12 @@ func main() {
 		Faults: plan,
 		FT:     true,
 	}
-	fmt.Printf("running %d iterations on %d ranks; rank 2 crashes at 60us (virtual)\n\n",
+	pr.say("running %d iterations on %d ranks; rank 2 crashes at 60us (virtual)\n",
 		iters, cfg.Nodes*cfg.PPN)
-	if err := core.Run(cfg, body); err != nil {
-		log.Fatal(err)
-	}
+	return core.Run(cfg, func(mpi *core.MPI) error { return body(mpi, pr.say) })
 }
 
-func body(mpi *core.MPI) error {
+func body(mpi *core.MPI, say func(format string, args ...any)) error {
 	world := mpi.CommWorld()
 	me := world.Rank()
 	comm := world

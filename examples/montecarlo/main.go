@@ -25,6 +25,20 @@ const (
 )
 
 func main() {
+	pi, err := estimate(samplesPerRank)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("pi ~= %.6f over %d samples on %d ranks (error %.2e)\n",
+		pi, samplesPerRank*nodes*ppn, nodes*ppn, math.Abs(pi-math.Pi))
+	if math.Abs(pi-math.Pi) > 0.01 {
+		log.Fatalf("estimate too far from pi")
+	}
+}
+
+// estimate draws samples points per rank and returns rank 0's reduced
+// estimate of pi.
+func estimate(samples int) (float64, error) {
 	var mu sync.Mutex
 	var pi float64
 
@@ -47,7 +61,7 @@ func main() {
 		}
 
 		hits := int64(0)
-		for i := 0; i < samplesPerRank; i++ {
+		for i := 0; i < samples; i++ {
 			x, y := next(), next()
 			if x*x+y*y <= 1 {
 				hits++
@@ -70,19 +84,12 @@ func main() {
 		}
 		if me == 0 {
 			total := recv.IntKindAt(jvm.Long, 0)
-			estimate := 4 * float64(total) / float64(samplesPerRank*nodes*ppn)
+			estimate := 4 * float64(total) / float64(samples*nodes*ppn)
 			mu.Lock()
 			pi = estimate
 			mu.Unlock()
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("pi ~= %.6f over %d samples on %d ranks (error %.2e)\n",
-		pi, samplesPerRank*nodes*ppn, nodes*ppn, math.Abs(pi-math.Pi))
-	if math.Abs(pi-math.Pi) > 0.01 {
-		log.Fatalf("estimate too far from pi")
-	}
+	return pi, err
 }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"mv2j/internal/core"
@@ -17,6 +19,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the job, printing each rank's results to out.
+func run(out io.Writer) error {
 	var mu sync.Mutex // serialises printing across rank goroutines
 
 	cfg := core.Config{
@@ -26,7 +35,7 @@ func main() {
 		Flavor: core.MVAPICH2J,
 	}
 
-	err := core.Run(cfg, func(mpi *core.MPI) error {
+	return core.Run(cfg, func(mpi *core.MPI) error {
 		world := mpi.CommWorld()
 		rank, size := world.Rank(), world.Size()
 
@@ -39,7 +48,7 @@ func main() {
 					return err
 				}
 				mu.Lock()
-				fmt.Printf("rank 0 got token %d from rank %d\n", msg.Int(0), st.Source)
+				fmt.Fprintf(out, "rank 0 got token %d from rank %d\n", msg.Int(0), st.Source)
 				mu.Unlock()
 			}
 		} else {
@@ -68,12 +77,9 @@ func main() {
 		}
 
 		mu.Lock()
-		fmt.Printf("rank %d/%d: bcast=%.5f, sum(ranks)=%d, virtual time=%v\n",
+		fmt.Fprintf(out, "rank %d/%d: bcast=%.5f, sum(ranks)=%d, virtual time=%v\n",
 			rank, size, buf.FloatKindAt(jvm.Double, 0), recv.Int(0), mpi.Clock().Now())
 		mu.Unlock()
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

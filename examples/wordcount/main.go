@@ -100,12 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := map[string]int{}
-	for s := 0; s < nodes*ppn; s++ {
-		for w, c := range countShard(s) {
-			want[w] += c
-		}
-	}
+	want := serial()
 	if len(got) != len(want) {
 		log.Fatalf("vocabulary size mismatch: %d vs %d", len(got), len(want))
 	}
@@ -123,6 +118,17 @@ func main() {
 	for _, w := range top[:5] {
 		fmt.Printf("  %-12s %d\n", w, got[w])
 	}
+}
+
+// serial counts the whole corpus in one process: the reference.
+func serial() map[string]int {
+	want := map[string]int{}
+	for s := 0; s < nodes*ppn; s++ {
+		for w, c := range countShard(s) {
+			want[w] += c
+		}
+	}
+	return want
 }
 
 func distributed() (map[string]int, error) {

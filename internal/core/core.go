@@ -140,6 +140,10 @@ type Config struct {
 	// reference execution. Every width produces byte-identical virtual
 	// artifacts; the knob trades host parallelism only.
 	EngineWorkers int
+
+	// framed pins the host datapath to the framed fallback
+	// (nativempi.World.ForceFramed); set by differential tests only.
+	framed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -207,6 +211,9 @@ func Run(cfg Config, main func(mpi *MPI) error) error {
 	world.SetEngineWorkers(cfg.EngineWorkers)
 	if cfg.FT {
 		world.EnableFT()
+	}
+	if cfg.framed {
+		world.ForceFramed()
 	}
 	world.SetRecorder(cfg.Trace)
 	world.SetMetrics(cfg.Metrics)

@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"mv2j/internal/difftest"
 	"mv2j/internal/faults"
 	"mv2j/internal/jvm"
 	"mv2j/internal/metrics"
 	"mv2j/internal/nativempi"
 	"mv2j/internal/trace"
-	"mv2j/internal/vtime"
 )
 
 // ---------------------------------------------------------------------
@@ -398,35 +398,32 @@ func TestDDTRoundTripStruct(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// The tentpole differential: gather-direct on vs. off
+// The datapath differential: direct vs. framed host datapath
 // ---------------------------------------------------------------------
 
-type ddtArtifacts struct {
-	recvs  [][]byte
-	clocks []vtime.Time
-	trace  []byte
-	met    []byte
-	host   nativempi.HostStats
+// captureRun runs body on every rank under the shared differential
+// harness, returning the artifacts and the world's host counters.
+func captureRun(cfg Config, body func(m *MPI, a *difftest.Artifacts) error) (difftest.Artifacts, nativempi.HostStats, error) {
+	var host nativempi.HostStats
+	cfg.HostStats = &host
+	a, err := difftest.Capture(cfg.Nodes*cfg.PPN, func(rec *trace.Recorder, met *metrics.Registry, a *difftest.Artifacts) error {
+		cfg.Trace, cfg.Metrics = rec, met
+		return Run(cfg, func(m *MPI) error {
+			if err := body(m, a); err != nil {
+				return err
+			}
+			a.Clocks[m.CommWorld().Rank()] = m.Clock().Now()
+			return nil
+		})
+	})
+	return a, host, err
 }
 
 // runDDTWorkload drives committed derived types across all three
 // protocol tiers — eager, zero-copy rendezvous, RDMA placement — plus
-// contiguous eager traffic and a collective, capturing every
-// deterministic artifact and the host counters.
-func runDDTWorkload(nodes, ppn, workers int, gather nativempi.Switch) (ddtArtifacts, error) {
-	rec := trace.New(0)
-	met := metrics.NewRegistry()
-	var host nativempi.HostStats
-	cfg := mv2Config(nodes, ppn)
+// contiguous eager traffic and a collective.
+func runDDTWorkload(cfg Config) (difftest.Artifacts, nativempi.HostStats, error) {
 	cfg.HeapSize = 48 << 20
-	cfg.Lib.DDTGatherDirect = gather
-	cfg.EngineWorkers = workers
-	cfg.Trace = rec
-	cfg.Metrics = met
-	cfg.HostStats = &host
-	np := nodes * ppn
-	a := ddtArtifacts{recvs: make([][]byte, np), clocks: make([]vtime.Time, np)}
-
 	dtv := TypeVector(INT, 4, 8, 16) // 128 B payload, 224 B extent per element
 	dtv.Commit()
 	dti := TypeIndexed(INT, []int{3, 1, 4}, []int{0, 5, 9}) // 32 B payload, 52 B extent
@@ -437,7 +434,7 @@ func runDDTWorkload(nodes, ppn, workers int, gather nativempi.Switch) (ddtArtifa
 	// (RDMA placement).
 	tiers := []struct{ count, tag int }{{24, 21}, {768, 22}, {3072, 23}}
 
-	err := Run(cfg, func(m *MPI) error {
+	return captureRun(cfg, func(m *MPI, a *difftest.Artifacts) error {
 		c := m.CommWorld()
 		me, size := c.Rank(), c.Size()
 		next, prev := (me+1)%size, (me-1+size)%size
@@ -518,96 +515,18 @@ func runDDTWorkload(nodes, ppn, workers int, gather nativempi.Switch) (ddtArtifa
 		captured = append(captured, sink.RawBytes()...)
 		captured = append(captured, acc.RawBytes()...)
 
-		a.recvs[me] = captured
-		a.clocks[me] = m.Clock().Now()
+		a.Recvs[me] = captured
 		return nil
 	})
-	if err != nil {
-		return a, err
-	}
-	a.host = host
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		return a, err
-	}
-	a.trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := met.WriteJSON(&buf); err != nil {
-		return a, err
-	}
-	a.met = buf.Bytes()
-	return a, nil
 }
 
-func assertSameDDTArtifacts(t *testing.T, on, off ddtArtifacts) {
-	t.Helper()
-	for r := range on.recvs {
-		if !bytes.Equal(on.recvs[r], off.recvs[r]) {
-			t.Errorf("rank %d: receive payload differs between gather-direct on/off", r)
-		}
-		if on.clocks[r] != off.clocks[r] {
-			t.Errorf("rank %d: final clock %d (on) vs %d (off)", r, on.clocks[r], off.clocks[r])
-		}
-	}
-	if !bytes.Equal(on.trace, off.trace) {
-		t.Error("trace JSONL differs between gather-direct on/off")
-	}
-	if !bytes.Equal(on.met, off.met) {
-		t.Error("metrics JSON differs between gather-direct on/off")
-	}
-}
-
-// TestDDTZeroCopyDifferential is the tentpole guarantee: flipping
-// Profile.DDTGatherDirect changes host counters ONLY. Receive arrays,
-// final clocks, trace JSONL, and metrics JSON are byte-identical at
-// np∈{2,4,8} under both serial and parallel engine scheduling, while
-// the on leg provably elides the pack staging the off leg pays.
-func TestDDTZeroCopyDifferential(t *testing.T) {
-	shapes := []struct{ nodes, ppn int }{{1, 2}, {2, 2}, {2, 4}}
-	for _, sh := range shapes {
-		for _, workers := range []int{1, 8} {
-			sh, workers := sh, workers
-			t.Run(fmt.Sprintf("np%d_w%d", sh.nodes*sh.ppn, workers), func(t *testing.T) {
-				if testing.Short() && sh.nodes*sh.ppn*workers > 16 {
-					t.Skip("short mode")
-				}
-				on, err := runDDTWorkload(sh.nodes, sh.ppn, workers, nativempi.SwitchOn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				off, err := runDDTWorkload(sh.nodes, sh.ppn, workers, nativempi.SwitchOff)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameDDTArtifacts(t, on, off)
-				if on.host.Copy.CopiesElided == 0 {
-					t.Error("gather-direct on: no copies elided")
-				}
-				if off.host.Copy.CopiesElided != 0 {
-					t.Errorf("gather-direct off: %d copies elided, want 0", off.host.Copy.CopiesElided)
-				}
-				if on.host.Copy.BytesCopied >= off.host.Copy.BytesCopied {
-					t.Errorf("gather-direct on copied %d bytes, off copied %d — elision saved nothing",
-						on.host.Copy.BytesCopied, off.host.Copy.BytesCopied)
-				}
-			})
-		}
-	}
-}
-
-// TestDDTFallbackUnderFaults pins the framed fallback: with a fault
-// plan active the bindings route derived types through the classic
-// pack path (retransmission needs a stable framed payload), and the
-// exchange still round-trips correctly.
-func TestDDTFallbackUnderFaults(t *testing.T) {
+// runDDTFallbackWorkload sends one strided vector from rank 0 to rank
+// 1 and checks every landed block.
+func runDDTFallbackWorkload(cfg Config) (difftest.Artifacts, nativempi.HostStats, error) {
 	dt := TypeVector(INT, 4, 8, 16)
 	dt.Commit()
 	const count, ext = 96, 56
-	cfg := mv2Config(2, 1)
-	cfg.Faults = faults.Uniform(7, 0.05)
-	var host nativempi.HostStats
-	cfg.HostStats = &host
-	err := Run(cfg, func(m *MPI) error {
+	return captureRun(cfg, func(m *MPI, a *difftest.Artifacts) error {
 		c := m.CommWorld()
 		arr := m.JVM().MustArray(jvm.Int, count*ext)
 		if c.Rank() == 0 {
@@ -628,14 +547,82 @@ func TestDDTFallbackUnderFaults(t *testing.T) {
 				}
 			}
 		}
+		a.Recvs[1] = arr.RawBytes()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// ddtRow is one case of the derived-datatype datapath differential.
+type ddtRow struct {
+	nodes, ppn, workers int
+	loss                uint64 // seed of a 5% uniform drop plan; 0 = lossless
+	run                 func(Config) (difftest.Artifacts, nativempi.HostStats, error)
+}
+
+// check runs the row on the direct and the framed datapath: every
+// virtual artifact must match, the framed leg never elides, a fault
+// plan keeps the direct leg framed too, and a lossless direct leg
+// elides the pack staging the framed leg pays.
+func (row ddtRow) check(t *testing.T) {
+	leg := func(framed bool) (difftest.Artifacts, nativempi.HostStats) {
+		cfg := mv2Config(row.nodes, row.ppn)
+		cfg.EngineWorkers = row.workers
+		if row.loss != 0 {
+			cfg.Faults = faults.Uniform(row.loss, 0.05)
+		}
+		cfg.framed = framed
+		a, host, err := row.run(cfg)
+		if err != nil {
+			t.Fatalf("framed=%v: %v", framed, err)
+		}
+		return a, host
 	}
-	if host.Copy.CopiesElided != 0 {
-		t.Errorf("fault plan active but %d copies elided", host.Copy.CopiesElided)
+	direct, dh := leg(false)
+	framed, fh := leg(true)
+	difftest.AssertSame(t, "direct vs framed", direct, framed)
+	if fh.Copy.CopiesElided != 0 || fh.RDMA.Writes != 0 {
+		t.Errorf("framed leg: %d copies elided, %d placements, want 0/0", fh.Copy.CopiesElided, fh.RDMA.Writes)
 	}
+	if dh.Reg != fh.Reg {
+		t.Errorf("registration stats differ: direct %+v, framed %+v", dh.Reg, fh.Reg)
+	}
+	if row.loss != 0 {
+		if dh.Copy.CopiesElided != 0 {
+			t.Errorf("fault plan active but %d copies elided", dh.Copy.CopiesElided)
+		}
+		return
+	}
+	if dh.Copy.CopiesElided == 0 {
+		t.Error("direct leg: no copies elided")
+	}
+	if dh.Copy.BytesCopied >= fh.Copy.BytesCopied {
+		t.Errorf("direct leg copied %d bytes, framed %d — elision saved nothing",
+			dh.Copy.BytesCopied, fh.Copy.BytesCopied)
+	}
+}
+
+// TestDDTZeroCopyDifferential: derived types on all three tiers at
+// np∈{2,4,8} under serial and parallel engine scheduling; the direct
+// leg borrows iovecs and gathers straight into strided landings.
+func TestDDTZeroCopyDifferential(t *testing.T) {
+	for _, sh := range []struct{ nodes, ppn int }{{1, 2}, {2, 2}, {2, 4}} {
+		for _, workers := range []int{1, 8} {
+			row := ddtRow{nodes: sh.nodes, ppn: sh.ppn, workers: workers, run: runDDTWorkload}
+			t.Run(fmt.Sprintf("np%d_w%d", sh.nodes*sh.ppn, workers), func(t *testing.T) {
+				if testing.Short() && sh.nodes*sh.ppn*workers > 16 {
+					t.Skip("short mode")
+				}
+				row.check(t)
+			})
+		}
+	}
+}
+
+// TestDDTFallbackUnderFaults: with a fault plan active the bindings
+// route derived types through the classic pack path and the world runs
+// framed on both legs; the exchange still round-trips.
+func TestDDTFallbackUnderFaults(t *testing.T) {
+	ddtRow{nodes: 2, ppn: 1, loss: 7, run: runDDTFallbackWorkload}.check(t)
 }
 
 // ---------------------------------------------------------------------

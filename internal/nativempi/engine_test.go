@@ -1,7 +1,6 @@
 package nativempi
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -10,10 +9,8 @@ import (
 	"time"
 
 	"mv2j/internal/cluster"
+	"mv2j/internal/difftest"
 	"mv2j/internal/fabric"
-	"mv2j/internal/faults"
-	"mv2j/internal/metrics"
-	"mv2j/internal/trace"
 	"mv2j/internal/vtime"
 )
 
@@ -23,48 +20,12 @@ import (
 // Host-side counters (mailbox batches, phase shapes) may differ; the
 // deterministic surface may not, by a single byte.
 
-// engWorld builds a world for one differential mode: clean fabric,
-// lossy fabric (drop faults + reliability layer), or a crash-fault
-// fault-tolerant world.
-func engWorld(t *testing.T, mode string, nodes, ppn int) *World {
-	t.Helper()
-	topo := cluster.New(nodes, ppn)
-	fab := fabric.Default(topo)
-	switch mode {
-	case "clean":
-	case "loss":
-		fab.WithFaults(faults.Uniform(42, 0.05))
-	case "crash":
-		plan, err := faults.ParseSpec("crash=1:op3")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab.WithFaults(plan)
-	default:
-		t.Fatalf("unknown mode %q", mode)
-	}
-	w := NewWorld(topo, fab, Profile{})
-	if mode == "crash" {
-		w.EnableFT()
-	}
-	return w
-}
-
 // runCrashWorkload is the FT differential workload: iterated validated
 // allreduce with revoke/shrink/agree recovery after rank 1's scheduled
 // death. Artifacts: each survivor's final sum + shrunken comm size,
 // final clocks, trace, metrics.
-func runCrashWorkload(w *World) (zcArtifacts, error) {
-	n := w.Size()
-	rec := trace.New(0)
-	met := metrics.NewRegistry()
-	w.SetRecorder(rec)
-	w.SetMetrics(met)
-	a := zcArtifacts{
-		recvs:  make([][]byte, n),
-		clocks: make([]vtime.Time, n),
-	}
-	err := w.Run(func(p *Proc) error {
+func runCrashWorkload(w *World) (difftest.Artifacts, error) {
+	return runCapture(w, func(p *Proc, a *difftest.Artifacts) error {
 		c, last, err := ftAllreduceSum(p, 6)
 		if err != nil {
 			return err
@@ -72,64 +33,24 @@ func runCrashWorkload(w *World) (zcArtifacts, error) {
 		var out [16]byte
 		binary.LittleEndian.PutUint64(out[:8], last)
 		binary.LittleEndian.PutUint64(out[8:], uint64(c.Size()))
-		a.recvs[p.Rank()] = append([]byte(nil), out[:]...)
-		a.clocks[p.Rank()] = p.Clock().Now()
+		a.Recvs[p.Rank()] = out[:]
 		return nil
 	})
-	if err != nil {
-		return a, err
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		return a, err
-	}
-	a.trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := met.WriteJSON(&buf); err != nil {
-		return a, err
-	}
-	a.met = buf.Bytes()
-	a.host = w.HostStats()
-	return a, nil
 }
 
 // TestEngineDifferential is the tentpole guarantee: parallel execution
 // (workers 2 and 8) is byte-identical to serial (workers 1) on every
-// virtual artifact, across np ∈ {2, 8, 64} and clean / loss-fault /
-// crash-fault fabrics.
+// virtual artifact, on both host datapaths, across np ∈ {2, 8, 64} and
+// clean / loss-fault / crash-fault fabrics. Crash mode kills rank 1:
+// its artifact slot stays empty in every run, which the comparison
+// still covers.
 func TestEngineDifferential(t *testing.T) {
-	shapes := []struct{ nodes, ppn int }{{1, 2}, {2, 4}, {8, 8}}
-	modes := []string{"clean", "loss", "crash"}
-	const size = 64 << 10 // above the eager limits: rendezvous traffic too
-	for _, sh := range shapes {
-		for _, mode := range modes {
-			sh, mode := sh, mode
-			np := sh.nodes * sh.ppn
-			t.Run(fmt.Sprintf("np%d/%s", np, mode), func(t *testing.T) {
-				run := func(workers int) zcArtifacts {
-					w := engWorld(t, mode, sh.nodes, sh.ppn)
-					w.SetEngineWorkers(workers)
-					var a zcArtifacts
-					var err error
-					if mode == "crash" {
-						a, err = runCrashWorkload(w)
-					} else {
-						a, err = runZCWorkload(w, size)
-					}
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					return a
-				}
-				serial := run(1)
-				for _, workers := range []int{2, 8} {
-					par := run(workers)
-					// Crash mode kills rank 1: its artifact slot stays
-					// empty in both runs, which bytes.Equal(nil, nil)
-					// accepts — the comparison still covers it.
-					assertSameArtifacts(t, par, serial)
-				}
-			})
+	for _, sh := range []struct{ nodes, ppn int }{{1, 2}, {2, 4}, {8, 8}} {
+		for _, mode := range []string{"clean", "loss", "crash"} {
+			row := modeRow(sh.nodes, sh.ppn, mode)
+			row.size = 64 << 10 // above the eager limits: rendezvous traffic too
+			row.workers = []int{1, 2, 8}
+			t.Run(fmt.Sprintf("np%d/%s", sh.nodes*sh.ppn, mode), row.check)
 		}
 	}
 }
@@ -202,7 +123,7 @@ func TestEngineWorkersKnob(t *testing.T) {
 	topo := cluster.New(2, 2)
 	w := NewWorld(topo, fabric.Default(topo), Profile{})
 	w.SetEngineWorkers(3)
-	if _, err := runZCWorkload(w, 4096); err != nil {
+	if _, err := runMixedWorkload(w, 4096); err != nil {
 		t.Fatal(err)
 	}
 	es := w.EngineStats()

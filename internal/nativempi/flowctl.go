@@ -301,20 +301,19 @@ func (p *Proc) fcSendCredit(src int, at vtime.Time) {
 }
 
 // noteUnexpGrowth refreshes the unexpected-queue high-water marks
-// after a packet was queued. The queue's content at every poll point
-// is a pure function of program order and the engine's canonical
-// delivery order, so — unlike bucket shapes or mailbox batches — the
-// high-water marks are deterministic and safe in the registry. The
-// MatchStats mirror feeds hostbench.
+// after a packet was queued. They are host state: the queue's content
+// at a poll point depends on when the rank polls, and the direct
+// datapath's FIN fence moves poll points (a sender waiting on its
+// borrow dispatches arrivals the framed sender would match against
+// receives posted later). So they live in MatchStats for hostbench,
+// never in the deterministic registry.
 func (p *Proc) noteUnexpGrowth() {
 	uq := &p.unexp
 	if uq.bytes > p.matchStats.UnexpBytesHiWater {
 		p.matchStats.UnexpBytesHiWater = uq.bytes
-		p.w.met.SetMaxGauge(p.rank, "match", "unexp_bytes_hiwater", uq.bytes)
 	}
 	if uq.depth > p.matchStats.UnexpDepthHiWater {
 		p.matchStats.UnexpDepthHiWater = uq.depth
-		p.w.met.SetMaxGauge(p.rank, "match", "unexp_depth_hiwater", uq.depth)
 	}
 }
 

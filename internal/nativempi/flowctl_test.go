@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"mv2j/internal/cluster"
+	"mv2j/internal/difftest"
 	"mv2j/internal/fabric"
 	"mv2j/internal/faults"
-	"mv2j/internal/metrics"
 	"mv2j/internal/trace"
 	"mv2j/internal/vtime"
 )
@@ -54,19 +54,10 @@ func fcWorld(np int, prof Profile, plan *faults.Plan, ft bool, workers int) *Wor
 // runFlood drives the many-to-one overload workload: every rank except
 // 0 sends msgs eager-sized messages to rank 0; rank 0 receives them
 // round-robin, tolerating sender deaths in fault-tolerant runs. The
-// full deterministic artifact set is captured (zcArtifacts is shared
-// with the zero-copy differential suite).
-func runFlood(w *World, msgs, msgSize int) (zcArtifacts, error) {
+// full deterministic artifact set is captured, plus the host counters.
+func runFlood(w *World, msgs, msgSize int) (difftest.Artifacts, HostStats, error) {
 	n := w.Size()
-	rec := trace.New(0)
-	met := metrics.NewRegistry()
-	w.SetRecorder(rec)
-	w.SetMetrics(met)
-	a := zcArtifacts{
-		recvs:  make([][]byte, n),
-		clocks: make([]vtime.Time, n),
-	}
-	err := w.Run(func(p *Proc) error {
+	a, err := runCapture(w, func(p *Proc, a *difftest.Artifacts) error {
 		c := p.CommWorld()
 		me := p.Rank()
 		if me == 0 {
@@ -90,7 +81,7 @@ func runFlood(w *World, msgs, msgSize int) (zcArtifacts, error) {
 					got++
 				}
 			}
-			a.recvs[0] = []byte{sum, byte(got), byte(got >> 8)}
+			a.Recvs[0] = []byte{sum, byte(got), byte(got >> 8)}
 		} else {
 			msg := pattern(msgSize, byte(me+1))
 			for i := 0; i < msgs; i++ {
@@ -102,24 +93,9 @@ func runFlood(w *World, msgs, msgSize int) (zcArtifacts, error) {
 				}
 			}
 		}
-		a.clocks[me] = p.Clock().Now()
 		return nil
 	})
-	if err != nil {
-		return a, err
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		return a, err
-	}
-	a.trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := met.WriteJSON(&buf); err != nil {
-		return a, err
-	}
-	a.met = buf.Bytes()
-	a.host = w.HostStats()
-	return a, nil
+	return a, w.HostStats(), err
 }
 
 // TestFlowControlDifferential is the tentpole acceptance test.
@@ -135,26 +111,26 @@ func TestFlowControlDifferential(t *testing.T) {
 		// credits and the watermark is unreachable, so flow control has
 		// nothing to do — and must visibly do nothing.
 		const msgs, credits = 8, 16
-		on, err := runFlood(fcWorld(np, fcProfile(credits, 1<<30, eager), nil, false, 0), msgs, msgSize)
+		on, onHost, err := runFlood(fcWorld(np, fcProfile(credits, 1<<30, eager), nil, false, 0), msgs, msgSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := runFlood(fcWorld(np, fcProfile(0, 0, eager), nil, false, 0), msgs, msgSize)
+		off, _, err := runFlood(fcWorld(np, fcProfile(0, 0, eager), nil, false, 0), msgs, msgSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameArtifacts(t, on, off)
-		if on.host.Flow.RNRParks != 0 {
-			t.Errorf("below the credit limit but %d RNR parks", on.host.Flow.RNRParks)
+		difftest.AssertSame(t, "on vs off", on, off)
+		if onHost.Flow.RNRParks != 0 {
+			t.Errorf("below the credit limit but %d RNR parks", onHost.Flow.RNRParks)
 		}
-		if on.host.Flow.DemotedSends != 0 {
-			t.Errorf("below the watermark but %d demoted sends", on.host.Flow.DemotedSends)
+		if onHost.Flow.DemotedSends != 0 {
+			t.Errorf("below the watermark but %d demoted sends", onHost.Flow.DemotedSends)
 		}
 		// The flood is one-sided, so credits return as explicit frames.
 		// (Senders finish before the frames land, so GrantsApplied may
 		// legitimately be zero — the receiver-side emission counter is
 		// the witness that the machinery ran.)
-		if on.host.Flow.CreditFrames == 0 {
+		if onHost.Flow.CreditFrames == 0 {
 			t.Error("flow control on: receiver emitted no credit frames")
 		}
 	})
@@ -187,26 +163,26 @@ func TestFlowControlDifferential(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run("saturated-"+sc.name, func(t *testing.T) {
-			w1, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 1), msgs, msgSize)
+			w1, _, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 1), msgs, msgSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w8, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 8), msgs, msgSize)
+			w8, w8Host, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 8), msgs, msgSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameArtifacts(t, w1, w8) // worker width must be invisible
-			if w8.host.Flow.RNRParks == 0 {
+			difftest.AssertSame(t, "w1 vs w8", w1, w8) // worker width must be invisible
+			if w8Host.Flow.RNRParks == 0 {
 				t.Error("saturated flood produced no RNR parks")
 			}
-			if hw := w8.host.Match.UnexpBytesHiWater; hw > qbytes {
+			if hw := w8Host.Match.UnexpBytesHiWater; hw > qbytes {
 				t.Errorf("flow on: unexpected-queue bytes high-water %d exceeds bound %d", hw, qbytes)
 			}
-			off, err := runFlood(fcWorld(np, fcProfile(0, 0, eager), sc.plan(), sc.ft, 8), msgs, msgSize)
+			_, offHost, err := runFlood(fcWorld(np, fcProfile(0, 0, eager), sc.plan(), sc.ft, 8), msgs, msgSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hw := off.host.Match.UnexpBytesHiWater; hw <= qbytes {
+			if hw := offHost.Match.UnexpBytesHiWater; hw <= qbytes {
 				t.Errorf("flow off: high-water %d did not exceed bound %d — flood too small to prove anything", hw, qbytes)
 			}
 		})
@@ -227,22 +203,22 @@ func TestFlowControlOverloadDegradation(t *testing.T) {
 	// messages) guarantees the flood crosses it while credits alone
 	// would still admit up to credits*(np-1) queued messages.
 	qbytes := int64(4 * msgSize)
-	a, err := runFlood(fcWorld(np, fcProfile(credits, qbytes, eager), nil, false, 0), msgs, msgSize)
+	a, aHost, err := runFlood(fcWorld(np, fcProfile(credits, qbytes, eager), nil, false, 0), msgs, msgSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.host.Flow.DemotedSends == 0 {
+	if aHost.Flow.DemotedSends == 0 {
 		t.Error("saturated flood past the watermark demoted no sends")
 	}
-	if a.host.Flow.CreditFrames == 0 {
+	if aHost.Flow.CreditFrames == 0 {
 		t.Error("one-sided flood returned no explicit credit frames")
 	}
-	if a.host.Flow.RNRWaitPs == 0 {
+	if aHost.Flow.RNRWaitPs == 0 {
 		t.Error("RNR parks recorded no virtual wait time")
 	}
 	// The trace must carry the stall time as flow spans, and the phase
 	// rollup must bank them in the Flow phase.
-	events, _, err := trace.ParseJSONL(bytes.NewReader(a.trace))
+	events, _, err := trace.ParseJSONL(bytes.NewReader(a.Trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +227,8 @@ func TestFlowControlOverloadDegradation(t *testing.T) {
 	for _, ph := range phases {
 		flowTime += ph.Flow
 	}
-	if int64(flowTime) != a.host.Flow.RNRWaitPs {
-		t.Errorf("trace flow phase %d ps != host RNR wait %d ps", int64(flowTime), a.host.Flow.RNRWaitPs)
+	if int64(flowTime) != aHost.Flow.RNRWaitPs {
+		t.Errorf("trace flow phase %d ps != host RNR wait %d ps", int64(flowTime), aHost.Flow.RNRWaitPs)
 	}
 }
 
@@ -325,19 +301,19 @@ func TestFlowControlChaosOverload(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			w1, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 1), msgs, msgSize)
+			w1, _, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 1), msgs, msgSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w8, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 8), msgs, msgSize)
+			w8, w8Host, err := runFlood(fcWorld(np, prof, sc.plan(), sc.ft, 8), msgs, msgSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameArtifacts(t, w1, w8)
-			if w8.host.Flow.RNRParks == 0 {
+			difftest.AssertSame(t, "w1 vs w8", w1, w8)
+			if w8Host.Flow.RNRParks == 0 {
 				t.Error("np=16 incast produced no RNR parks")
 			}
-			if hw := w8.host.Match.UnexpBytesHiWater; hw > qbytes {
+			if hw := w8Host.Match.UnexpBytesHiWater; hw > qbytes {
 				t.Errorf("unexpected-queue bytes high-water %d exceeds bound %d", hw, qbytes)
 			}
 		})
@@ -366,25 +342,25 @@ func FuzzFlowControlEquivalence(f *testing.F) {
 			plan = faults.Uniform(uint64(rawCredits)<<32|uint64(rawEager), 0.05)
 		}
 		prof := fcProfile(credits, qbytes, eager)
-		on1, err := runFlood(fcWorld(np, prof, plan, false, 1), msgs, msgSize)
+		on1, _, err := runFlood(fcWorld(np, prof, plan, false, 1), msgs, msgSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		on8, err := runFlood(fcWorld(np, prof, plan, false, 8), msgs, msgSize)
+		on8, on8Host, err := runFlood(fcWorld(np, prof, plan, false, 8), msgs, msgSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameArtifacts(t, on1, on8)
+		difftest.AssertSame(t, "on1 vs on8", on1, on8)
 		belowLimit := msgs <= credits &&
 			int64((np-1)*msgs*msgSize) < qbytes/2
 		if belowLimit {
-			off, err := runFlood(fcWorld(np, fcProfile(0, 0, eager), plan, false, 8), msgs, msgSize)
+			off, _, err := runFlood(fcWorld(np, fcProfile(0, 0, eager), plan, false, 8), msgs, msgSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameArtifacts(t, on8, off)
-			if on8.host.Flow.RNRParks != 0 {
-				t.Errorf("below limit but %d parks", on8.host.Flow.RNRParks)
+			difftest.AssertSame(t, "on8 vs off", on8, off)
+			if on8Host.Flow.RNRParks != 0 {
+				t.Errorf("below limit but %d parks", on8Host.Flow.RNRParks)
 			}
 		}
 	})

@@ -110,8 +110,8 @@ func TestVecCopyTruncates(t *testing.T) {
 	}
 }
 
-// TestProfileValidateDDTKnobs pins the Validate rejections for the
-// derived-datatype profile knobs.
+// TestProfileValidateDDTKnobs pins the Validate rejection for the
+// derived-datatype profile knob.
 func TestProfileValidateDDTKnobs(t *testing.T) {
 	base := Profile{Name: "t"}
 	if err := base.Validate(); err != nil {
@@ -124,18 +124,7 @@ func TestProfileValidateDDTKnobs(t *testing.T) {
 		t.Errorf("negative DDTPackRun: err = %v", err)
 	}
 
-	bad = base
-	bad.DDTGatherDirect = Switch(99)
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "DDTGatherDirect") {
-		t.Errorf("bogus DDTGatherDirect: err = %v", err)
-	}
-	bad.DDTGatherDirect = Switch(-1)
-	if err := bad.Validate(); err == nil {
-		t.Error("negative DDTGatherDirect accepted")
-	}
-
 	good := base
-	good.DDTGatherDirect = SwitchOff
 	good.DDTPackRun = 20 * vtime.Nanosecond
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid DDT knobs rejected: %v", err)

@@ -112,6 +112,7 @@ type ProcStats struct {
 	PeerSuspects int64 // peers this rank's detector moved to suspected
 	PeerConfirms int64 // suspected peers confirmed dead
 	RevokesSeen  int64 // distinct communicator revocations applied
+	RevokedDrops int64 // late CTS/DATA for rendezvous a revoke failed, dropped
 }
 
 // Proc is one MPI rank: its clock, mailbox, matching queues, and
@@ -414,6 +415,9 @@ func (p *Proc) dispatch(pkt *packet) {
 	case pktCTS:
 		req, ok := p.sendPending[pkt.reqID]
 		if !ok {
+			if p.dropRevoked(pkt) {
+				return
+			}
 			panic(fmt.Sprintf("nativempi: rank %d got CTS for unknown request %d", p.rank, pkt.reqID))
 		}
 		delete(p.sendPending, pkt.reqID)
@@ -423,6 +427,9 @@ func (p *Proc) dispatch(pkt *packet) {
 		k := rndvKey{src: pkt.src, id: pkt.reqID}
 		req, ok := p.recvPending[k]
 		if !ok {
+			if p.dropRevoked(pkt) {
+				return
+			}
 			panic(fmt.Sprintf("nativempi: rank %d got DATA for unknown request %d from rank %d", p.rank, pkt.reqID, pkt.src))
 		}
 		delete(p.recvPending, k)
@@ -461,6 +468,21 @@ func (p *Proc) dispatch(pkt *packet) {
 		// unwind; World.Run recovers it into this rank's error.
 		panic(abortError{origin: pkt.src, reason: string(pkt.data)})
 	}
+}
+
+// dropRevoked frees a CTS or DATA whose rendezvous request a revoke
+// already failed (applyRevoke deletes the pending entry, while the
+// peer keeps driving the handshake until it learns of the revoke). It
+// reports false when the packet's context is not revoked: an unknown
+// request is then a protocol invariant violation.
+func (p *Proc) dropRevoked(pkt *packet) bool {
+	if _, revoked := p.revokedAt[pkt.ctx]; !revoked {
+		return false
+	}
+	p.stats.RevokedDrops++
+	p.w.met.Add(p.rank, "ft", "revoked_drops", 1)
+	freePacket(pkt)
+	return true
 }
 
 // progressOnce makes one unit of progress, blocking until it can:
@@ -531,21 +553,12 @@ func (p *Proc) poll() {
 	}
 }
 
-// zeroCopyRndv reports whether the rendezvous data phase may borrow
-// the sender's buffer instead of copying into a wire buffer. The
-// profile switch enables it; a fault plan (frames must be mutable for
-// corruption/retransmission) or fault tolerance (failure sweeps may
-// orphan the borrow) forces the wire-copy path.
-func (p *Proc) zeroCopyRndv() bool {
-	return p.w.zeroCopy && p.rel == nil && !p.w.ft
-}
-
 // rdmaOK reports whether the RDMA protocol tier is available on this
 // rank: enabled in the profile, no fault plan (a remote placement
 // cannot be framed, checksummed, or retransmitted), no fault tolerance
 // (a failure sweep could orphan a remote key mid-placement). The
 // PROTOCOL — registration charges, completion arithmetic — is what
-// this gates; the host datapath has its own switch (w.rdmaPlace).
+// this gates; the host datapath is World.direct's decision.
 func (p *Proc) rdmaOK() bool {
 	return p.w.rdmaProto && p.rel == nil && !p.w.ft
 }
@@ -641,29 +654,28 @@ func (p *Proc) deliver(req *Request, pkt *packet) {
 			// RDMA-mode rendezvous: the CTS carries the remote key, so
 			// the landing buffer must be registered before it can be
 			// issued — the pin-down cost (zero on a cache hit) delays
-			// the CTS, never the receiver's other work. When the
-			// placement datapath is on, the CTS also carries the landing
-			// buffer itself for the sender's direct write; host movement
-			// only, every virtual quantity is placement-independent. A
-			// strided landing registers its whole spanning region (the
-			// NIC pins pages, not runs) and travels as the iovec.
+			// the CTS, never the receiver's other work. On the direct
+			// datapath the CTS also carries the landing buffer itself
+			// for the sender's placement write; host movement only,
+			// every virtual quantity is datapath-independent. A strided
+			// landing registers its whole spanning region (the NIC pins
+			// pages, not runs) and travels as the iovec.
 			n := pkt.nbytes
 			if n > req.recvCap() {
 				n = req.recvCap()
 			}
+			direct := p.w.direct()
+			cts.rdma = true
+			cts.borrowed = direct
 			if req.recvVec != nil {
 				readyAt = readyAt.Add(p.reg.acquire(req.recvVec.Full, readyAt))
-				cts.rdma = true
-				if p.w.rdmaPlace {
+				if direct {
 					cts.vec = req.recvVec
-					cts.borrowed = true
 				}
 			} else {
 				readyAt = readyAt.Add(p.reg.acquire(req.buf[:n], readyAt))
-				cts.rdma = true
-				if p.w.rdmaPlace {
+				if direct {
 					cts.data = req.buf[:n]
-					cts.borrowed = true
 				}
 			}
 		}
@@ -712,36 +724,31 @@ func (p *Proc) rndvSendData(req *Request, cts *packet) {
 			start = start.Add(p.reg.acquire(req.sendBuf, start))
 		}
 	}
-	// Host datapath selection. On the RDMA placement path the sender
-	// performs the transfer's only memcpy — the remote write — straight
-	// into the receiver's registered landing buffer (carried by the
-	// CTS), and the DATA packet degenerates to a payload-less
-	// completion notification. The write is host-safe: the buffer
-	// reference travelled receiver→sender through the mailbox, and the
-	// receiver only reads it after popping the completion packet, so
-	// both directions carry a happens-before edge. Otherwise the
-	// zero-copy borrow or the framed wire copy runs exactly as before.
-	// Non-contiguous endpoints add a layout dimension: gather-direct
-	// (w.ddtDirect) borrows the iovec outright or streams runs straight
-	// into the strided landing; off, the payload is packed through a
-	// wire image first — the framed fallback. Every virtual quantity
-	// below — start, injection, arrival, completion — is computed
-	// identically on all paths.
+	// Host datapath selection (World.direct). On the RDMA placement
+	// path the sender performs the transfer's only memcpy — the remote
+	// write — straight into the receiver's registered landing buffer
+	// (carried by the CTS only on the direct datapath), and the DATA
+	// packet degenerates to a payload-less completion notification.
+	// The write is host-safe: the buffer reference travelled
+	// receiver→sender through the mailbox, and the receiver only reads
+	// it after popping the completion packet, so both directions carry
+	// a happens-before edge. Otherwise the direct datapath borrows the
+	// sender's buffer or iovec outright, and the framed one copies the
+	// payload (gathering strided runs) into a wire image. Every virtual
+	// quantity below — start, injection, arrival, completion — is
+	// computed identically on all paths.
 	place := cts.rdma && (len(cts.data) > 0 || cts.vec != nil)
-	zc := !place && p.zeroCopyRndv()
-	borrow := false
+	borrow := !place && p.w.direct()
 	var data []byte
 	var vec *IOVec
 	switch {
 	case place:
 		p.placeRndv(cts, req, n)
-	case zc && req.sendVec == nil:
+	case borrow && req.sendVec == nil:
 		data = req.sendBuf
-		borrow = true
 		p.copyStats.elide(n)
-	case zc && p.w.ddtDirect:
+	case borrow:
 		vec = req.sendVec
-		borrow = true
 		p.copyStats.elide(n)
 	default:
 		data = getWire(n)
@@ -787,46 +794,26 @@ func (p *Proc) rndvSendData(req *Request, cts *packet) {
 	p.recordSend(req.dst, n, start, req.completeAt)
 }
 
-// placeRndv performs the RDMA placement write for one rendezvous with
-// at least one non-contiguous (or switched-off) endpoint. Gather-direct
-// on, the sender streams source runs straight into the landing runs —
-// one host memcpy, the intermediate pack image elided. Off, it stages
-// through a packed wire image: gather, place, free — two memcpys, the
-// honest fallback cost. Contiguous-to-contiguous placements never reach
-// here (rndvSendData keeps the original single-copy path for them).
+// placeRndv performs the RDMA placement write: the sender copies its
+// buffer straight into the receiver's landing buffer carried by the
+// CTS. Strided endpoints stream source runs straight into the landing
+// runs — one host memcpy, counted as eliding the pack staging the
+// framed datapath pays.
 func (p *Proc) placeRndv(cts *packet, req *Request, n int) {
 	var placed int
-	direct := p.w.ddtDirect
-	if req.sendVec == nil && cts.vec == nil {
-		// Both ends contiguous: the classic placement write.
+	switch {
+	case req.sendVec == nil && cts.vec == nil:
 		placed = copy(cts.data, req.sendBuf)
-		p.copyStats.count(placed)
-	} else if direct {
-		switch {
-		case req.sendVec != nil && cts.vec != nil:
-			placed = vecCopy(cts.vec, req.sendVec)
-		case req.sendVec != nil:
-			placed = req.sendVec.gatherInto(cts.data)
-		default:
-			placed = cts.vec.scatterFrom(req.sendBuf[:n])
-		}
-		p.copyStats.count(placed)
-		p.copyStats.elide(placed) // the staging copy the fallback would pay
-	} else {
-		tmp := getWire(n)
-		if req.sendVec != nil {
-			req.sendVec.gatherInto(tmp)
-		} else {
-			copy(tmp, req.sendBuf[:n])
-		}
-		p.copyStats.count(n)
-		if cts.vec != nil {
-			placed = cts.vec.scatterFrom(tmp)
-		} else {
-			placed = copy(cts.data, tmp)
-		}
-		p.copyStats.count(placed)
-		putWire(tmp)
+	case req.sendVec != nil && cts.vec != nil:
+		placed = vecCopy(cts.vec, req.sendVec)
+	case req.sendVec != nil:
+		placed = req.sendVec.gatherInto(cts.data)
+	default:
+		placed = cts.vec.scatterFrom(req.sendBuf[:n])
+	}
+	p.copyStats.count(placed)
+	if req.sendVec != nil || cts.vec != nil {
+		p.copyStats.elide(placed) // the staging copy the framed path would pay
 	}
 	p.rdmaStats.Writes++
 	p.rdmaStats.BytesPlaced += int64(placed)
@@ -835,8 +822,8 @@ func (p *Proc) placeRndv(cts *packet, req *Request, n int) {
 // ddtPackCost is the eager tier's CPU charge for packing (sender) or
 // unpacking (receiver) a non-contiguous payload: DDTPackRun per run
 // boundary beyond the first. Zero for contiguous messages, and
-// identical on both gather-direct settings — the charge is protocol
-// level, the switch is host level.
+// identical on both datapaths — the charge is protocol level, the
+// datapath is host level.
 func (p *Proc) ddtPackCost(runs int) vtime.Duration {
 	if runs <= 1 {
 		return 0

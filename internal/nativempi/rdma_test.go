@@ -6,118 +6,10 @@ import (
 	"testing"
 
 	"mv2j/internal/cluster"
+	"mv2j/internal/difftest"
 	"mv2j/internal/fabric"
-	"mv2j/internal/faults"
-	"mv2j/internal/metrics"
-	"mv2j/internal/trace"
 	"mv2j/internal/vtime"
 )
-
-// The RDMA channel's differential contract, mirroring the zero-copy
-// suite: the placement switch selects HOW payload bytes move on the
-// host (a direct remote-memory write into the receiver's buffer versus
-// a framed DATA packet), while every virtual-time consequence of the
-// protocol — registration charges, CTS delay, completion arithmetic —
-// is decided by the protocol alone. Toggling placement may change host
-// counters only; the deterministic artifacts may not move by one byte.
-
-// rdmaWorld builds a differential world: clean fabric, lossy fabric
-// (reliability layer engaged), or crash-fault FT world, with the RDMA
-// placement switch and a threshold low enough that the zero-copy
-// workload's ring traffic crosses it.
-func rdmaWorld(t *testing.T, mode string, nodes, ppn int, place Switch) *World {
-	t.Helper()
-	topo := cluster.New(nodes, ppn)
-	fab := fabric.Default(topo)
-	switch mode {
-	case "clean":
-	case "loss":
-		fab.WithFaults(faults.Uniform(42, 0.05))
-	case "crash":
-		plan, err := faults.ParseSpec("crash=1:op3")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab.WithFaults(plan)
-	default:
-		t.Fatalf("unknown mode %q", mode)
-	}
-	w := NewWorld(topo, fab, Profile{RDMAPlacement: place, RDMAThreshold: 64 << 10})
-	if mode == "crash" {
-		w.EnableFT()
-	}
-	return w
-}
-
-// TestRDMADifferential is the tentpole guarantee for the RDMA channel:
-// across np ∈ {2,4,8}, worker-pool widths {1,8}, and clean / lossy /
-// crash fabrics, a placement-on run and a placement-off run produce
-// byte-identical receive payloads, final clocks, trace JSONL, and
-// metrics JSON. Faulty fabrics disable the protocol entirely
-// (retransmission needs a stable framed payload; FT needs revocable
-// channels), so those legs also pin the fallback: zero placements,
-// zero registrations.
-func TestRDMADifferential(t *testing.T) {
-	shapes := []struct{ nodes, ppn int }{{1, 2}, {2, 2}, {2, 4}}
-	modes := []string{"clean", "loss", "crash"}
-	const size = 128 << 10 // above eager limits and the 64 KiB threshold
-	for _, sh := range shapes {
-		for _, mode := range modes {
-			sh, mode := sh, mode
-			np := sh.nodes * sh.ppn
-			t.Run(fmt.Sprintf("np%d/%s", np, mode), func(t *testing.T) {
-				run := func(workers int, place Switch) zcArtifacts {
-					w := rdmaWorld(t, mode, sh.nodes, sh.ppn, place)
-					w.SetEngineWorkers(workers)
-					var a zcArtifacts
-					var err error
-					if mode == "crash" {
-						a, err = runCrashWorkload(w)
-					} else {
-						a, err = runZCWorkload(w, size)
-					}
-					if err != nil {
-						t.Fatalf("workers=%d place=%v: %v", workers, place, err)
-					}
-					return a
-				}
-				ref := run(1, SwitchOn)
-				for _, workers := range []int{1, 8} {
-					for _, place := range []Switch{SwitchOn, SwitchOff} {
-						if workers == 1 && place == SwitchOn {
-							continue
-						}
-						assertSameArtifacts(t, run(workers, place), ref)
-					}
-				}
-
-				on := run(1, SwitchOn)
-				off := run(1, SwitchOff)
-				if mode == "clean" {
-					if on.host.RDMA.Writes < int64(np) {
-						t.Errorf("placement on: %d remote writes, want >= %d", on.host.RDMA.Writes, np)
-					}
-					if on.host.Reg.Misses == 0 {
-						t.Error("clean RDMA run registered nothing")
-					}
-					// Registration is protocol state: identical economics
-					// whichever way the bytes moved.
-					if on.host.Reg != off.host.Reg {
-						t.Errorf("registration stats differ: on %+v, off %+v", on.host.Reg, off.host.Reg)
-					}
-				} else {
-					if on.host.Reg.Misses != 0 || on.host.RDMA.Writes != 0 {
-						t.Errorf("%s fabric: protocol active (reg misses %d, writes %d), want fallback",
-							mode, on.host.Reg.Misses, on.host.RDMA.Writes)
-					}
-				}
-				if off.host.RDMA.Writes != 0 {
-					t.Errorf("placement off: %d remote writes, want 0", off.host.RDMA.Writes)
-				}
-			})
-		}
-	}
-}
 
 // TestRDMAWarmColdCounters pins the cache economics end to end over
 // the wire protocol: a repeated large transfer registers both ends
@@ -125,13 +17,14 @@ func TestRDMADifferential(t *testing.T) {
 // placement datapath writing every payload and the counters surfacing
 // in HostStats and the deterministic metrics JSON.
 func TestRDMAWarmColdCounters(t *testing.T) {
-	w := rdmaWorld(t, "clean", 2, 1, SwitchOn)
+	topo := cluster.New(2, 1)
+	w := NewWorld(topo, fabric.Default(topo), rdmaProf)
 	const size = 512 << 10
 	a, err := runRepeatSend(w, size, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := a.host
+	hs := w.HostStats()
 	if hs.RDMA.Writes != 3 || hs.RDMA.BytesPlaced != 3*size {
 		t.Errorf("placement: %d writes / %d bytes, want 3 / %d", hs.RDMA.Writes, hs.RDMA.BytesPlaced, 3*size)
 	}
@@ -152,7 +45,7 @@ func TestRDMAWarmColdCounters(t *testing.T) {
 		t.Errorf("pinned %d/%d, want %d/%d", hs.Reg.PinnedBytes, hs.Reg.PinnedPeak, 2*size, size)
 	}
 	for _, counter := range []string{"reg_hits", "reg_misses"} {
-		if !bytes.Contains(a.met, []byte(counter)) {
+		if !bytes.Contains(a.Metrics, []byte(counter)) {
 			t.Errorf("metrics JSON missing %q", counter)
 		}
 	}
@@ -160,8 +53,8 @@ func TestRDMAWarmColdCounters(t *testing.T) {
 
 // runRepeatSend drives iters sequential rank0→rank1 transfers of the
 // SAME buffers, the warm-cache workload, capturing the artifacts.
-func runRepeatSend(w *World, size, iters int) (zcArtifacts, error) {
-	a, err := captureArtifacts(w, func(p *Proc) error {
+func runRepeatSend(w *World, size, iters int) (difftest.Artifacts, error) {
+	return runCapture(w, func(p *Proc, _ *difftest.Artifacts) error {
 		c := p.CommWorld()
 		if p.Rank() == 0 {
 			buf := pattern(size, 0x5a)
@@ -181,11 +74,8 @@ func runRepeatSend(w *World, size, iters int) (zcArtifacts, error) {
 				return fmt.Errorf("iter %d: payload corrupted", k)
 			}
 		}
-		a := rbuf // keep the buffer's address live across iterations
-		_ = a
 		return nil
 	})
-	return a, err
 }
 
 // TestRDMAAdaptivePromotion pins the adaptive protocol switch: a
@@ -232,29 +122,6 @@ func TestRDMAAdaptivePromotion(t *testing.T) {
 	if hs.Reg.Hits != 2 || hs.Reg.Misses != 2 {
 		t.Errorf("reg counters h%d m%d, want h2 m2", hs.Reg.Hits, hs.Reg.Misses)
 	}
-}
-
-// TestRDMAFallbackUnderFaults mirrors TestZeroCopyDisabledUnderFaults
-// for the RDMA channel: a fault plan forces the framed path, and the
-// artifacts still match a placement-off world byte for byte.
-func TestRDMAFallbackUnderFaults(t *testing.T) {
-	const size = 96 << 10
-	run := func(place Switch) zcArtifacts {
-		topo := cluster.New(2, 1)
-		fab := fabric.Default(topo).WithFaults(faults.Uniform(5, 0.05))
-		w := NewWorld(topo, fab, Profile{RDMAPlacement: place, RDMAThreshold: 64 << 10})
-		a, err := runZCWorkload(w, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	on := run(SwitchOn)
-	if on.host.RDMA.Writes != 0 || on.host.Reg.Misses != 0 {
-		t.Errorf("fault plan active but protocol engaged (writes %d, misses %d)",
-			on.host.RDMA.Writes, on.host.Reg.Misses)
-	}
-	assertSameArtifacts(t, on, run(SwitchOff))
 }
 
 // TestRMACrossover demonstrates the protocol trade the rebase of
@@ -359,89 +226,4 @@ func TestRMACrossover(t *testing.T) {
 	}
 	t.Logf("crossover: 1KiB put %v vs p2p %v; 512KiB put %v vs p2p %v",
 		smallPut, smallP2P, largePut, largeP2P)
-}
-
-// captureArtifacts runs body under a fresh recorder/registry and
-// captures the full artifact surface, like runZCWorkload but for
-// custom workloads.
-func captureArtifacts(w *World, body func(*Proc) error) (zcArtifacts, error) {
-	rec := trace.New(0)
-	met := metrics.NewRegistry()
-	w.SetRecorder(rec)
-	w.SetMetrics(met)
-	n := w.Size()
-	a := zcArtifacts{recvs: make([][]byte, n), clocks: make([]vtime.Time, n)}
-	err := w.Run(func(p *Proc) error {
-		if err := body(p); err != nil {
-			return err
-		}
-		a.clocks[p.Rank()] = p.Clock().Now()
-		return nil
-	})
-	if err != nil {
-		return a, err
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		return a, err
-	}
-	a.trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := met.WriteJSON(&buf); err != nil {
-		return a, err
-	}
-	a.met = buf.Bytes()
-	a.host = w.HostStats()
-	return a, nil
-}
-
-// FuzzRDMAEquivalence drives the placement differential across the
-// (message size × eager limit × RDMA threshold × cache capacity ×
-// fault plan) space: whatever protocol tier each message lands in and
-// however hard the cache churns, placement on and off must agree on
-// every virtual artifact.
-func FuzzRDMAEquivalence(f *testing.F) {
-	f.Add(uint32(64), uint32(0), uint32(0), uint32(0), false)
-	f.Add(uint32(128<<10), uint32(0), uint32(64<<10), uint32(0), false)
-	f.Add(uint32(200_000), uint32(8192), uint32(100), uint32(2), false)
-	f.Add(uint32(96<<10), uint32(1), uint32(1), uint32(1), true)
-	f.Add(uint32(256<<10), uint32(32<<10), uint32(300<<10), uint32(3), false)
-	f.Fuzz(func(t *testing.T, rawSize, rawEager, rawThresh, rawCache uint32, faulty bool) {
-		size := int(rawSize%(256<<10)) + 1
-		eager := int(rawEager % (64 << 10))    // 0 = fabric default
-		thresh := int(rawThresh%(320<<10)) - 1 // -1 disables the protocol
-		cacheEntries := int(rawCache % 9)      // 0 = default capacity
-		run := func(place Switch) zcArtifacts {
-			topo := cluster.New(2, 1)
-			fab := fabric.Default(topo)
-			if faulty {
-				plan := faults.Uniform(uint64(rawSize)^uint64(rawThresh)<<32, 0.05)
-				fab = fab.WithFaults(plan)
-			}
-			w := NewWorld(topo, fab, Profile{
-				RDMAPlacement:   place,
-				RDMAThreshold:   thresh,
-				RegCacheEntries: cacheEntries,
-				EagerInter:      eager,
-				EagerIntra:      eager,
-			})
-			a, err := runZCWorkload(w, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		}
-		on := run(SwitchOn)
-		off := run(SwitchOff)
-		assertSameArtifacts(t, on, off)
-		if faulty && on.host.RDMA.Writes != 0 {
-			t.Errorf("fault plan active but %d placements", on.host.RDMA.Writes)
-		}
-		if off.host.RDMA.Writes != 0 {
-			t.Errorf("placement off but %d placements", off.host.RDMA.Writes)
-		}
-		if on.host.Reg != off.host.Reg {
-			t.Errorf("registration stats differ: on %+v, off %+v", on.host.Reg, off.host.Reg)
-		}
-	})
 }

@@ -49,12 +49,12 @@ func (l ThreadLevel) String() string {
 // are also exported through the deterministic metrics registry as
 // thread/* series); the rest are host-side scheduling counters.
 type ThreadStats struct {
-	Groups     int64 // RunThreads invocations with n > 1
-	Threads    int64 // simulated threads launched (including tid 0)
-	Handoffs   int64 // baton handoffs between simulated threads
-	RankBlocks int64 // whole-rank engine blocks taken on behalf of a group
-	Contended  int64 // contended entry-lock acquisitions
-	ArbWaitPs  int64 // virtual picoseconds spent arbitrating the entry lock
+	Groups     int64 `json:"groups"`      // RunThreads invocations with n > 1
+	Threads    int64 `json:"threads"`     // simulated threads launched (including tid 0)
+	Handoffs   int64 `json:"handoffs"`    // baton handoffs between simulated threads
+	RankBlocks int64 `json:"rank_blocks"` // whole-rank engine blocks taken on behalf of a group
+	Contended  int64 `json:"contended"`   // contended entry-lock acquisitions
+	ArbWaitPs  int64 `json:"arb_wait_ps"` // virtual picoseconds spent arbitrating the entry lock
 }
 
 func (a *ThreadStats) add(b ThreadStats) {

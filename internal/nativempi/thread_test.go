@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"mv2j/internal/cluster"
+	"mv2j/internal/difftest"
 	"mv2j/internal/fabric"
 	"mv2j/internal/faults"
 	"mv2j/internal/metrics"
-	"mv2j/internal/trace"
 	"mv2j/internal/vtime"
 )
 
@@ -95,61 +95,10 @@ func TestRunThreadsGates(t *testing.T) {
 	}
 }
 
-// thrArtifacts captures the full deterministic surface of one run.
-type thrArtifacts struct {
-	recvs  [][]byte
-	clocks []vtime.Time
-	trace  []byte
-	met    []byte
-	host   HostStats
-}
-
-func captureThrArtifacts(w *World, n int, body func(p *Proc, out *[][]byte) error) (thrArtifacts, error) {
-	rec := trace.New(0)
-	met := metrics.NewRegistry()
-	w.SetRecorder(rec)
-	w.SetMetrics(met)
-	a := thrArtifacts{recvs: make([][]byte, n), clocks: make([]vtime.Time, n)}
-	err := w.Run(func(p *Proc) error {
-		if err := body(p, &a.recvs); err != nil {
-			return err
-		}
-		a.clocks[p.Rank()] = p.Clock().Now()
-		return nil
-	})
-	if err != nil {
-		return a, err
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		return a, err
-	}
-	a.trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := met.WriteJSON(&buf); err != nil {
-		return a, err
-	}
-	a.met = buf.Bytes()
-	a.host = w.HostStats()
-	return a, nil
-}
-
-func sameArtifacts(t *testing.T, label string, a, b thrArtifacts) {
-	t.Helper()
-	for r := range a.recvs {
-		if !bytes.Equal(a.recvs[r], b.recvs[r]) {
-			t.Errorf("%s: rank %d receive payloads differ", label, r)
-		}
-		if a.clocks[r] != b.clocks[r] {
-			t.Errorf("%s: rank %d final clock %d vs %d", label, r, a.clocks[r], b.clocks[r])
-		}
-	}
-	if !bytes.Equal(a.trace, b.trace) {
-		t.Errorf("%s: trace JSONL differs", label)
-	}
-	if !bytes.Equal(a.met, b.met) {
-		t.Errorf("%s: metrics JSON differs", label)
-	}
+// captureThreaded runs a thread-suite workload, which writes its
+// per-rank payloads into out, under the shared differential harness.
+func captureThreaded(w *World, body func(p *Proc, out *[][]byte) error) (difftest.Artifacts, error) {
+	return runCapture(w, func(p *Proc, a *difftest.Artifacts) error { return body(p, &a.Recvs) })
 }
 
 // singleThreadedWorkload is a fixed mixed eager/rendezvous/collective
@@ -195,10 +144,10 @@ func singleThreadedWorkload(p *Proc, out *[][]byte) error {
 // threads actually contend.
 func TestThreadLevelDifferential(t *testing.T) {
 	levels := []ThreadLevel{ThreadSingle, ThreadFunneled, ThreadSerialized, ThreadMultiple}
-	var base thrArtifacts
+	var base difftest.Artifacts
 	for i, lvl := range levels {
 		w := thrWorld(2, 2, Profile{ThreadLevel: lvl})
-		a, err := captureThrArtifacts(w, 4, singleThreadedWorkload)
+		a, err := captureThreaded(w, singleThreadedWorkload)
 		if err != nil {
 			t.Fatalf("level %v: %v", lvl, err)
 		}
@@ -206,13 +155,13 @@ func TestThreadLevelDifferential(t *testing.T) {
 			base = a
 			continue
 		}
-		sameArtifacts(t, fmt.Sprintf("%v vs %v", lvl, levels[0]), a, base)
+		difftest.AssertSame(t, fmt.Sprintf("%v vs %v", lvl, levels[0]), a, base)
 	}
 
 	// Same program under MULTIPLE, wrapped in RunThreads(1) and an
 	// explicit InitThread: still byte-identical.
 	w := thrWorld(2, 2, Profile{ThreadLevel: ThreadMultiple})
-	a, err := captureThrArtifacts(w, 4, func(p *Proc, out *[][]byte) error {
+	a, err := captureThreaded(w, func(p *Proc, out *[][]byte) error {
 		if got := p.InitThread(ThreadMultiple); got != ThreadMultiple {
 			return fmt.Errorf("provided %v", got)
 		}
@@ -221,7 +170,7 @@ func TestThreadLevelDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameArtifacts(t, "RunThreads(1) vs bare", a, base)
+	difftest.AssertSame(t, "RunThreads(1) vs bare", a, base)
 }
 
 // mtWorkload is a multithreaded exchange: every rank runs T threads,
@@ -288,22 +237,23 @@ func mtWorkload(T int) func(p *Proc, out *[][]byte) error {
 // schedule-dependent implementation).
 func TestThreadMultipleDeterministic(t *testing.T) {
 	prof := Profile{ThreadLevel: ThreadMultiple, LockArbitrationCost: 200 * vtime.Nanosecond}
-	run := func(workers int) thrArtifacts {
+	run := func(workers int) (difftest.Artifacts, ThreadStats) {
 		t.Helper()
 		w := thrWorld(2, 2, prof)
 		w.SetEngineWorkers(workers)
-		a, err := captureThrArtifacts(w, 4, mtWorkload(4))
+		a, err := captureThreaded(w, mtWorkload(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return a, w.HostStats().Threads
 	}
-	base := run(0)
+	base, threads := run(0)
 	for _, workers := range []int{1, 2, 0} {
-		sameArtifacts(t, fmt.Sprintf("workers=%d", workers), run(workers), base)
+		a, _ := run(workers)
+		difftest.AssertSame(t, fmt.Sprintf("workers=%d", workers), a, base)
 	}
-	if base.host.Threads.Groups == 0 || base.host.Threads.Handoffs == 0 {
-		t.Errorf("thread multiplexer saw no activity: %+v", base.host.Threads)
+	if threads.Groups == 0 || threads.Handoffs == 0 {
+		t.Errorf("thread multiplexer saw no activity: %+v", threads)
 	}
 }
 

@@ -33,28 +33,18 @@ type World struct {
 	engWorkers int
 	engStats   EngineStats
 
-	// zeroCopy caches the world-level half of the zero-copy rendezvous
-	// decision: profile switch on AND no fault plan (framed
-	// retransmission needs a mutable payload image). Procs additionally
-	// require !ft at use time (see Proc.zeroCopyRndv).
-	zeroCopy bool
-
 	// flowOn caches whether the profile enables credit-based eager flow
 	// control (EagerCredits > 0; see flowctl.go).
 	flowOn bool
 
 	// rdmaProto caches the world-level half of the RDMA protocol
 	// decision (threshold enabled AND no fault plan; Procs additionally
-	// require !ft, see Proc.rdmaOK) and rdmaPlace the host-only
-	// placement-datapath switch — the RDMA analogue of zeroCopy.
+	// require !ft, see Proc.rdmaOK).
 	rdmaProto bool
-	rdmaPlace bool
 
-	// ddtDirect caches the host-only gather-direct switch for
-	// non-contiguous (derived-datatype) payloads (see Profile.
-	// DDTGatherDirect): off stages strided rendezvous and placement
-	// traffic through a packed wire image instead.
-	ddtDirect bool
+	// framed pins the host datapath to the framed wire copy (see
+	// ForceFramed and direct).
+	framed bool
 
 	// Fault-tolerance state (see ft.go). ft selects the ULFM-style
 	// policy: a rank crash becomes a survivable event instead of a job
@@ -79,11 +69,8 @@ func NewWorld(topo *cluster.Topology, fab *fabric.Fabric, prof Profile) *World {
 		panic("nativempi: nil topology or fabric")
 	}
 	w := &World{topo: topo, fab: fab, prof: prof.normalize()}
-	w.zeroCopy = w.prof.ZeroCopyRndv == SwitchOn && fab.Faults() == nil
 	w.flowOn = w.prof.EagerCredits > 0
 	w.rdmaProto = w.prof.RDMAThreshold > 0 && fab.Faults() == nil
-	w.rdmaPlace = w.prof.RDMAPlacement == SwitchOn
-	w.ddtDirect = w.prof.DDTGatherDirect == SwitchOn
 	w.nextCtx.Store(2)
 	w.procs = make([]*Proc, topo.Size())
 	for r := range w.procs {
@@ -154,6 +141,27 @@ func (w *World) SetEngineWorkers(n int) {
 		n = 0
 	}
 	w.engWorkers = n
+}
+
+// ForceFramed pins the world's host datapath to the framed fallback
+// that a fault plan or fault tolerance selects: every rendezvous
+// payload travels as a wire copy, with no borrow, no placement write
+// and no gather-direct. It exists for differential tests, which run a
+// workload once per datapath and require byte-identical virtual
+// artifacts. Call before Run.
+func (w *World) ForceFramed() { w.framed = true }
+
+// direct is the world's one host datapath decision. Direct (the
+// default) lets a rendezvous borrow the sender's buffer or iovec, or
+// place it straight into the receiver's landing buffer: one host
+// memcpy per transfer. Framed copies the payload into a wire image
+// first. A fault plan forces framed (retransmission and corruption
+// need a mutable framed image), fault tolerance does too (a failure
+// sweep could orphan a borrow), and so does ForceFramed. The decision
+// moves host bytes only: every virtual quantity is computed
+// identically on both paths.
+func (w *World) direct() bool {
+	return !w.framed && !w.ft && w.fab.Faults() == nil
 }
 
 // EngineStats reports the scheduler's host-side counters, accumulated

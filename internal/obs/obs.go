@@ -60,8 +60,7 @@ func (s *Sink) ForceRecorder() *trace.Recorder {
 
 // Registry returns the metrics registry to attach, creating it if
 // -metrics-out or -report was requested (the report rolls up the
-// deterministic saturation gauges — matcher unexpected-queue
-// high-water, flow-control stalls); nil otherwise.
+// deterministic flow-control stall counters); nil otherwise.
 func (s *Sink) Registry() *metrics.Registry {
 	if s.reg == nil && (s.MetricsOut != "" || s.Report) {
 		s.reg = metrics.NewRegistry()
@@ -109,21 +108,13 @@ func (s *Sink) Flush(w io.Writer) error {
 	return nil
 }
 
-// writeSaturation appends the deterministic backpressure gauges to the
-// report: per-rank matcher unexpected-queue high-water marks and the
-// flow-control stall counters. Everything here is a max-gauge or
-// counter charged on the virtual timeline, so the table is
-// byte-identical across runs (and absent entirely when no queue ever
-// buffered a message and no sender ever stalled).
+// writeSaturation appends the deterministic backpressure counters to
+// the report: the per-rank flow-control stalls. Every counter is
+// charged on the virtual timeline, so the table is byte-identical
+// across runs (and absent entirely when no sender ever stalled).
 func writeSaturation(w io.Writer, reg *metrics.Registry) error {
-	snap := reg.Snapshot()
 	var rows []metrics.ScalarSnap
-	for _, g := range snap.Gauges {
-		if g.Kind == "match" {
-			rows = append(rows, g)
-		}
-	}
-	for _, c := range snap.Counters {
+	for _, c := range reg.Snapshot().Counters {
 		if c.Kind == "flow" {
 			rows = append(rows, c)
 		}

@@ -2,9 +2,11 @@ package omb
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"mv2j/internal/difftest"
 	"mv2j/internal/faults"
 	"mv2j/internal/metrics"
 	"mv2j/internal/trace"
@@ -214,5 +216,56 @@ func TestFTDriverRejections(t *testing.T) {
 	}
 	if _, err := FTCollectiveLatency("allreduce", ftConfig(t, 3, ModeNative, "")); err == nil {
 		t.Error("native mode accepted by the FT driver")
+	}
+}
+
+// TestFTCrashRendezvousTable crashes a rank at several operation
+// indices during FT collective sweeps at an eager and a rendezvous
+// size. A crash mid-rendezvous leaves CTS and DATA packets in flight
+// toward requests a revoke has already failed; they must be dropped,
+// not panic the receiver. Every case recovers with validation on and
+// reproduces its artifacts byte for byte.
+func TestFTCrashRendezvousTable(t *testing.T) {
+	shapes := []struct {
+		bench string
+		ppn   int
+	}{{"allreduce", 3}, {"bcast", 4}}
+	for _, sh := range shapes {
+		for _, op := range []int{1, 5, 10, 20, 40} {
+			for _, size := range []int{32 << 10, 512 << 10} {
+				sh, spec, size := sh, fmt.Sprintf("crash=2:op%d", op), size
+				t.Run(fmt.Sprintf("%s/op%d/%dKiB", sh.bench, op, size>>10), func(t *testing.T) {
+					run := func() difftest.Artifacts {
+						o := chaosOpts()
+						o.MinSize, o.MaxSize = size, size
+						o.Iters, o.LargeIters = 24, 10 // enough ops for op40 to fire
+						o.Validate, o.FT = true, true
+						cfg := mv2(1, sh.ppn, ModeBuffer, o)
+						plan, err := faults.ParseSpec(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Core.Faults = plan
+						// One slot: RunBenchmark returns rank 0's result
+						// rows, which stand in for the receive payloads.
+						a, err := difftest.Capture(1, func(rec *trace.Recorder, met *metrics.Registry, a *difftest.Artifacts) error {
+							cfg.Core.Trace, cfg.Core.Metrics = rec, met
+							rows, err := RunBenchmark(sh.bench, cfg)
+							a.Recvs[0] = fmt.Appendf(nil, "%+v", rows)
+							return err
+						})
+						if err != nil {
+							t.Fatalf("%s %s at %d B: %v", sh.bench, spec, size, err)
+						}
+						return a
+					}
+					first := run()
+					if !bytes.Contains(first.Metrics, []byte(`"crashes"`)) {
+						t.Errorf("%s never fired", spec)
+					}
+					difftest.AssertSame(t, "rerun", run(), first)
+				})
+			}
+		}
 	}
 }
