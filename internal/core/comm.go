@@ -277,10 +277,13 @@ func (c *Comm) Sendrecv(sendBuf any, sendCount int, sendType Datatype, dst, send
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := sreq.Wait(); err != nil {
-		return Status{}, err
+	_, err = sreq.Wait()
+	sreq.Release()
+	if err != nil {
+		return Status{}, err // rreq may still be pending: it stays with the engine
 	}
 	st, err := rreq.Wait()
+	rreq.Release()
 	if err != nil {
 		return fromNative(st), err
 	}
@@ -384,13 +387,23 @@ func (r *Request) Wait() (Status, error) {
 // single JNI downcall.
 func (r *Request) waitNoCharge() (Status, error) {
 	st, err := r.native.Wait()
+	return r.complete(st, err)
+}
+
+// complete finishes a request whose native request a Wait, Test or
+// Waitany has just consumed with result (st, err): it unpacks any
+// staged receive and frees the staging, then releases the native
+// request. The handle answers from its recorded result from then on,
+// as MPI frees a request when its Wait completes.
+func (r *Request) complete(st nativempi.Status, err error) (Status, error) {
 	if err == nil && r.finish != nil {
 		err = r.finish()
 	}
 	if r.free != nil {
 		r.free()
 	}
-	r.finish, r.free = nil, nil
+	r.native.Release()
+	r.native, r.finish, r.free = nil, nil, nil
 	r.waited = true
 	r.status, r.err = fromNative(st), err
 	return r.status, r.err
@@ -405,12 +418,12 @@ func (r *Request) Test() (Status, bool, error) {
 		return r.status, true, r.err
 	}
 	r.mpi.enterNative()
-	_, ok, _ := r.native.Test()
+	st, ok, err := r.native.Test()
 	if !ok {
 		return Status{}, false, nil
 	}
-	st, err := r.waitNoCharge()
-	return st, true, err
+	cst, err := r.complete(st, err)
+	return cst, true, err
 }
 
 // Waitany blocks until at least one request completes (MPI_Waitany)
@@ -418,24 +431,23 @@ func (r *Request) Test() (Status, bool, error) {
 // receive. Nil or already-completed entries are inactive and skipped;
 // with no active requests the index is -1 (MPI_UNDEFINED).
 func Waitany(reqs []*Request) (int, Status, error) {
-	natives := make([]*nativempi.Request, len(reqs))
-	charged := false
-	for i, r := range reqs {
-		if r == nil || r.waited {
-			continue
-		}
-		if !charged {
+	for _, r := range reqs {
+		if r != nil && !r.waited {
 			r.mpi.enterNative()
-			charged = true
+			break
 		}
-		natives[i] = r.native
 	}
-	idx, _, err := nativempi.Waitany(natives)
+	idx, st, err := nativempi.WaitanyFunc(len(reqs), func(i int) *nativempi.Request {
+		if r := reqs[i]; r != nil {
+			return r.native // nil once waited
+		}
+		return nil
+	})
 	if idx < 0 {
 		return -1, Status{}, err
 	}
-	st, err := reqs[idx].waitNoCharge()
-	return idx, st, err
+	cst, err := reqs[idx].complete(st, err)
+	return idx, cst, err
 }
 
 // Waitall completes every request as one bindings call (the Java

@@ -62,10 +62,12 @@ func (m *MPI) sendStage(buf any, offset, count int, dt Datatype) ([]byte, func()
 }
 
 // recvStage wraps the staging implementation so the finish (unpack)
-// callback emits a copy-out span.
+// callback emits a copy-out span. Without a recorder or a metrics
+// registry there is nothing to emit, and the finish callback goes out
+// unwrapped.
 func (m *MPI) recvStage(buf any, offset, count int, dt Datatype) ([]byte, func() error, func(), error) {
 	raw, finish, free, err := m.recvStageImpl(buf, offset, count, dt)
-	if err != nil {
+	if w := m.proc.World(); err != nil || w.Recorder() == nil && w.Metrics() == nil {
 		return raw, finish, free, err
 	}
 	inner := finish
@@ -159,9 +161,13 @@ func scrapeMetrics(reg *metrics.Registry, mpis []*MPI) {
 
 // scrapePool folds one buffer pool's counters into the registry. The
 // gauges use SetMaxGauge so an unordered scrape of many ranks still
-// produces one deterministic per-rank value.
+// produces one deterministic per-rank value. A pool the run never
+// touched (all counters zero) emits no series at all.
 func scrapePool(reg *metrics.Registry, rank int, kind string, p *mpjbuf.Pool) {
 	s := p.Stats()
+	if s == (mpjbuf.PoolStats{}) {
+		return
+	}
 	reg.Add(rank, kind, "gets", s.Gets)
 	reg.Add(rank, kind, "hits", s.Hits)
 	reg.Add(rank, kind, "misses", s.Misses)

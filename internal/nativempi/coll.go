@@ -21,23 +21,17 @@ func (c *Comm) collTag() int {
 	return c.collSeq
 }
 
-// waitRelease waits an internally issued request and recycles it.
-// Requests created inside a collective never escape it, so once Wait
-// observes completion (or failure — failReq also marks done and
-// unlinks) the engine holds no reference and the struct can be reused.
-func (c *Comm) waitRelease(req *Request) error {
-	_, err := req.Wait()
-	c.p.putReq(req)
+// csend/crecv are blocking sends/receives on the collective context.
+// Requests created inside a collective never escape it, so they
+// recycle as soon as they are waited.
+func (c *Comm) csend(buf []byte, dst, tag int) error {
+	_, err := c.cisend(buf, dst, tag).waitRelease()
 	return err
 }
 
-// csend/crecv are blocking sends/receives on the collective context.
-func (c *Comm) csend(buf []byte, dst, tag int) error {
-	return c.waitRelease(c.p.isendOn(buf, c.group[dst], tag, sendOpts{ctx: c.collCtx, coll: true}))
-}
-
 func (c *Comm) crecv(buf []byte, src, tag int) error {
-	return c.waitRelease(c.p.irecvOn(buf, c.group[src], tag, sendOpts{ctx: c.collCtx, coll: true}))
+	_, err := c.cirecv(buf, src, tag).waitRelease()
+	return err
 }
 
 func (c *Comm) cisend(buf []byte, dst, tag int) *Request {
@@ -51,10 +45,11 @@ func (c *Comm) cirecv(buf []byte, src, tag int) *Request {
 func (c *Comm) csendrecv(sendBuf []byte, dst int, recvBuf []byte, src, tag int) error {
 	rreq := c.cirecv(recvBuf, src, tag)
 	sreq := c.cisend(sendBuf, dst, tag)
-	if err := c.waitRelease(sreq); err != nil {
+	if _, err := sreq.waitRelease(); err != nil {
 		return err // rreq may still be pending: it stays with the engine
 	}
-	return c.waitRelease(rreq)
+	_, err := rreq.waitRelease()
+	return err
 }
 
 // chargeCompute charges local reduction/copy work of n bytes.

@@ -40,12 +40,12 @@ func (c *Comm) Scan(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 			sreq = c.cisend(recvBuf, dst, tag)
 		}
 		if sreq != nil {
-			if err := c.waitRelease(sreq); err != nil {
+			if _, err := sreq.waitRelease(); err != nil {
 				return err
 			}
 		}
 		if rreq != nil {
-			if err := c.waitRelease(rreq); err != nil {
+			if _, err := rreq.waitRelease(); err != nil {
 				return err
 			}
 			// Incoming partial covers lower ranks: combine on the left.
@@ -91,12 +91,12 @@ func (c *Comm) Exscan(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 			sreq = c.cisend(partial, dst, tag)
 		}
 		if sreq != nil {
-			if err := c.waitRelease(sreq); err != nil {
+			if _, err := sreq.waitRelease(); err != nil {
 				return err
 			}
 		}
 		if rreq != nil {
-			if err := c.waitRelease(rreq); err != nil {
+			if _, err := rreq.waitRelease(); err != nil {
 				return err
 			}
 			if seeded {

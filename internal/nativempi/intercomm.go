@@ -135,7 +135,7 @@ func (ic *InterComm) Send(buf []byte, remoteRank, tag int) error {
 		return fmt.Errorf("%w: tag %d", ErrTag, tag)
 	}
 	req := ic.local.p.isendOn(buf, ic.remote[remoteRank], tag, sendOpts{ctx: ic.ptCtx})
-	_, err := req.Wait()
+	_, err := req.waitRelease()
 	return err
 }
 
@@ -149,7 +149,7 @@ func (ic *InterComm) Recv(buf []byte, remoteRank, tag int) (Status, error) {
 		wsrc = ic.remote[remoteRank]
 	}
 	req := ic.local.p.irecvOn(buf, wsrc, tag, sendOpts{ctx: ic.ptCtx})
-	st, err := req.Wait()
+	st, err := req.waitRelease()
 	// Translate the world source into a remote-group rank.
 	for i, wr := range ic.remote {
 		if wr == st.Source {

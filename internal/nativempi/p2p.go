@@ -106,6 +106,8 @@ type Request struct {
 	// waited records that a Wait consumed this request (used by
 	// Waitsome to report each completion exactly once).
 	waited bool
+	// pooled marks a released request parked on the free list.
+	pooled bool
 }
 
 // recvCap returns the receive's landing capacity in bytes, whatever
@@ -363,7 +365,7 @@ func (c *Comm) SendVec(vec *IOVec, dst, tag int) error {
 	if err != nil {
 		return err
 	}
-	_, err = req.Wait()
+	_, err = req.waitRelease()
 	return err
 }
 
@@ -373,7 +375,7 @@ func (c *Comm) RecvVec(vec *IOVec, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return req.Wait()
+	return req.waitRelease()
 }
 
 // Send is the blocking standard-mode send.
@@ -382,7 +384,7 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 	if err != nil {
 		return err
 	}
-	_, err = req.Wait()
+	_, err = req.waitRelease()
 	return err
 }
 
@@ -393,7 +395,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return req.Wait()
+	return req.waitRelease()
 }
 
 // Sendrecv runs a send and a receive concurrently — the classic
@@ -408,10 +410,10 @@ func (c *Comm) Sendrecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, r
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := sreq.Wait(); err != nil {
-		return Status{}, err
+	if _, err := sreq.waitRelease(); err != nil {
+		return Status{}, err // rreq may still be pending: it stays with the engine
 	}
-	return rreq.Wait()
+	return rreq.waitRelease()
 }
 
 // Probe blocks until a message matching (src, tag) is available and
@@ -508,6 +510,24 @@ func (r *Request) Test() (Status, bool, error) {
 // Done reports whether the request has completed (without progressing
 // the engine).
 func (r *Request) Done() bool { return r.done }
+
+// Release hands a completed and consumed request (one a Wait, or a
+// successful Test, has returned) back to its rank for reuse. Only the
+// request's owner may call it, from the rank's own call path, and the
+// request must not be touched afterwards. Releasing an unconsumed
+// request, or one twice, panics. Request ids are never reused, so a
+// late protocol packet meant for the released request can never reach
+// the struct's next life. Requests that are never released are simply
+// garbage collected.
+func (r *Request) Release() { r.p.putReq(r) }
+
+// waitRelease waits a request its caller owns outright and recycles
+// it.
+func (r *Request) waitRelease() (Status, error) {
+	st, err := r.Wait()
+	r.Release()
+	return st, err
+}
 
 // commStatus returns the status with the source translated from the
 // internal world rank to the caller's communicator rank.

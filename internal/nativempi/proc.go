@@ -587,14 +587,21 @@ func (p *Proc) getReq() *Request {
 	return &Request{p: p}
 }
 
-// putReq parks a completed Request for reuse. Only callers that fully
-// own a request may release it: the internal collective/engine paths
-// that issued it, waited it to completion, and hold the last
-// reference. User-facing requests are never recycled.
+// putReq parks a consumed Request for reuse. Only the request's owner
+// may release it — the caller that issued it, waited it to completion
+// and holds the last reference — and only on the rank's own call path,
+// so the free list stays rank-confined. A consumed request is in no
+// engine map: every completion path unlinks it first. Releasing an
+// unconsumed or already parked request panics: either would hand one
+// struct to two owners.
 func (p *Proc) putReq(r *Request) {
-	if r == nil || !r.done {
-		return
+	if r.pooled {
+		panic("nativempi: request double release")
 	}
+	if !r.waited {
+		panic("nativempi: release of an unconsumed request")
+	}
+	r.pooled = true
 	p.reqFree = append(p.reqFree, r)
 }
 

@@ -1,6 +1,7 @@
 package nativempi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -48,12 +49,14 @@ func fastReduce(dst, src []byte, kind jvm.Kind, op Op) bool {
 		return true
 	case kind == jvm.Double && op == OpSum:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putFloatNative(dst, i, jvm.Double, getFloatNative(dst, i, jvm.Double)+getFloatNative(src, i, jvm.Double))
+			d, s := dst[i:i+8], src[i:i+8]
+			le.PutUint64(d, math.Float64bits(math.Float64frombits(le.Uint64(d))+math.Float64frombits(le.Uint64(s))))
 		}
 		return true
 	case kind == jvm.Long && op == OpSum:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			putIntNative(dst, i, jvm.Long, getIntNative(dst, i, jvm.Long)+getIntNative(src, i, jvm.Long))
+			d, s := dst[i:i+8], src[i:i+8]
+			le.PutUint64(d, le.Uint64(d)+le.Uint64(s))
 		}
 		return true
 	default:
@@ -135,61 +138,54 @@ func boolToInt(b bool) int64 {
 }
 
 // Native-layout element accessors (little-endian, matching the jvm
-// package's array payload layout).
+// package's array payload layout): one fixed-width load or store per
+// element.
+
+var le = binary.LittleEndian
 
 func getIntNative(b []byte, off int, kind jvm.Kind) int64 {
-	var bits uint64
-	sz := kind.Size()
-	for i := sz - 1; i >= 0; i-- {
-		bits = bits<<8 | uint64(b[off+i])
-	}
 	switch kind {
 	case jvm.Byte:
-		return int64(int8(bits))
+		return int64(int8(b[off]))
 	case jvm.Boolean:
-		return int64(bits & 1)
+		return int64(b[off] & 1)
 	case jvm.Char:
-		return int64(uint16(bits))
+		return int64(le.Uint16(b[off:]))
 	case jvm.Short:
-		return int64(int16(bits))
+		return int64(int16(le.Uint16(b[off:])))
 	case jvm.Int:
-		return int64(int32(bits))
+		return int64(int32(le.Uint32(b[off:])))
 	case jvm.Long:
-		return int64(bits)
+		return int64(le.Uint64(b[off:]))
 	default:
 		panic("nativempi: getIntNative on " + kind.String())
 	}
 }
 
 func putIntNative(b []byte, off int, kind jvm.Kind, v int64) {
-	sz := kind.Size()
-	bits := uint64(v)
-	for i := 0; i < sz; i++ {
-		b[off+i] = byte(bits >> (8 * i))
+	switch kind.Size() {
+	case 1:
+		b[off] = byte(v)
+	case 2:
+		le.PutUint16(b[off:], uint16(v))
+	case 4:
+		le.PutUint32(b[off:], uint32(v))
+	default:
+		le.PutUint64(b[off:], uint64(v))
 	}
 }
 
 func getFloatNative(b []byte, off int, kind jvm.Kind) float64 {
-	var bits uint64
-	sz := kind.Size()
-	for i := sz - 1; i >= 0; i-- {
-		bits = bits<<8 | uint64(b[off+i])
-	}
 	if kind == jvm.Float {
-		return float64(math.Float32frombits(uint32(bits)))
+		return float64(math.Float32frombits(le.Uint32(b[off:])))
 	}
-	return math.Float64frombits(bits)
+	return math.Float64frombits(le.Uint64(b[off:]))
 }
 
 func putFloatNative(b []byte, off int, kind jvm.Kind, v float64) {
-	var bits uint64
 	if kind == jvm.Float {
-		bits = uint64(math.Float32bits(float32(v)))
-	} else {
-		bits = math.Float64bits(v)
+		le.PutUint32(b[off:], math.Float32bits(float32(v)))
+		return
 	}
-	sz := kind.Size()
-	for i := 0; i < sz; i++ {
-		b[off+i] = byte(bits >> (8 * i))
-	}
+	le.PutUint64(b[off:], math.Float64bits(v))
 }

@@ -1,6 +1,8 @@
 package nativempi
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -49,49 +51,113 @@ func TestReduceIntoAllOpsAllKinds(t *testing.T) {
 }
 
 // Property: the fast kernels must agree with the generic element-wise
-// path for every (kind, op) pair they cover.
+// path for every (kind, op) pair they cover. The pairs are found by
+// asking fastReduce about every kind and op, so a new fast path is
+// checked without editing this test.
 func TestFastReduceMatchesGenericProperty(t *testing.T) {
-	covered := []struct {
+	var covered []struct {
 		kind jvm.Kind
 		op   Op
-	}{
-		{jvm.Byte, OpSum}, {jvm.Byte, OpMax}, {jvm.Double, OpSum}, {jvm.Long, OpSum},
 	}
-	f := func(raw []byte, sel uint8) bool {
-		c := covered[int(sel)%len(covered)]
-		sz := c.kind.Size()
-		n := (len(raw) / (2 * sz)) * sz
-		if n == 0 {
-			return true
-		}
-		dstFast := append([]byte(nil), raw[:n]...)
-		srcFast := append([]byte(nil), raw[n:2*n]...)
-		dstGen := append([]byte(nil), raw[:n]...)
-		srcGen := append([]byte(nil), raw[n:2*n]...)
-
-		if !fastReduce(dstFast, srcFast, c.kind, c.op) {
-			return false
-		}
-		var err error
-		if c.kind.IsFloating() {
-			err = reduceFloat(dstGen, srcGen, c.kind, c.op, n/sz)
-		} else {
-			err = reduceInt(dstGen, srcGen, c.kind, c.op, n/sz)
-		}
-		if err != nil {
-			return false
-		}
-		for i := range dstFast {
-			if dstFast[i] != dstGen[i] {
-				// NaN payload bits may differ legally for float ops; for
-				// SUM of finite values they must match bit-exactly.
-				return false
+	for kind := jvm.Byte; kind <= jvm.Double; kind++ {
+		for op := OpSum; op <= OpBXor; op++ {
+			probe := make([]byte, kind.Size())
+			if fastReduce(probe, probe, kind, op) {
+				covered = append(covered, struct {
+					kind jvm.Kind
+					op   Op
+				}{kind, op})
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if len(covered) < 4 {
+		t.Fatalf("fastReduce covers %d (kind, op) pairs, want at least 4", len(covered))
+	}
+	for _, c := range covered {
+		f := func(raw []byte) bool {
+			sz := c.kind.Size()
+			n := (len(raw) / (2 * sz)) * sz
+			if n == 0 {
+				return true
+			}
+			dstFast := append([]byte(nil), raw[:n]...)
+			srcFast := append([]byte(nil), raw[n:2*n]...)
+			dstGen := append([]byte(nil), raw[:n]...)
+			srcGen := append([]byte(nil), raw[n:2*n]...)
+
+			if !fastReduce(dstFast, srcFast, c.kind, c.op) {
+				return false
+			}
+			var err error
+			if c.kind.IsFloating() {
+				err = reduceFloat(dstGen, srcGen, c.kind, c.op, n/sz)
+			} else {
+				err = reduceInt(dstGen, srcGen, c.kind, c.op, n/sz)
+			}
+			// Both paths run the same float64 arithmetic, so even NaN
+			// payload bits must match.
+			return err == nil && bytes.Equal(dstFast, dstGen)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%v/%v: %v", c.kind, c.op, err)
+		}
+	}
+}
+
+// Property: the fixed-width element accessors read and write exactly
+// what a byte-at-a-time little-endian codec does, for every kind.
+func TestNativeAccessorsMatchByteCodec(t *testing.T) {
+	bitsAt := func(b []byte, sz int) (bits uint64) {
+		for i := sz - 1; i >= 0; i-- {
+			bits = bits<<8 | uint64(b[i])
+		}
+		return bits
+	}
+	for kind := jvm.Byte; kind <= jvm.Double; kind++ {
+		sz := kind.Size()
+		f := func(raw [8]byte) bool {
+			b := raw[:sz]
+			bits := bitsAt(b, sz)
+			out := make([]byte, sz)
+			if kind.IsFloating() {
+				v := getFloatNative(b, 0, kind)
+				var want float64
+				if kind == jvm.Float {
+					want = float64(math.Float32frombits(uint32(bits)))
+				} else {
+					want = math.Float64frombits(bits)
+				}
+				if math.Float64bits(v) != math.Float64bits(want) && !(math.IsNaN(v) && math.IsNaN(want)) {
+					return false
+				}
+				putFloatNative(out, 0, kind, v)
+				return math.IsNaN(v) || bytes.Equal(out, b)
+			}
+			var want int64
+			switch kind {
+			case jvm.Byte:
+				want = int64(int8(bits))
+			case jvm.Boolean:
+				want = int64(bits & 1)
+			case jvm.Char:
+				want = int64(uint16(bits))
+			case jvm.Short:
+				want = int64(int16(bits))
+			case jvm.Int:
+				want = int64(int32(bits))
+			default:
+				want = int64(bits)
+			}
+			v := getIntNative(b, 0, kind)
+			if v != want {
+				return false
+			}
+			putIntNative(out, 0, kind, v)
+			return kind == jvm.Boolean || bytes.Equal(out, b)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%v: %v", kind, err)
+		}
 	}
 }
 

@@ -9,9 +9,17 @@ package nativempi
 // count as immediately ready (MPI returns any such index first). With
 // no active requests it returns index -1, as MPI_UNDEFINED.
 func Waitany(reqs []*Request) (int, Status, error) {
+	return WaitanyFunc(len(reqs), func(i int) *Request { return reqs[i] })
+}
+
+// WaitanyFunc is Waitany over n requests that at reads by index, so a
+// caller holding its requests inside wrapper handles (the bindings
+// layer) need not build a slice of them per call. at may return nil
+// for an inactive entry.
+func WaitanyFunc(n int, at func(i int) *Request) (int, Status, error) {
 	var p *Proc
-	for _, r := range reqs {
-		if r != nil && !r.waited {
+	for i := 0; i < n; i++ {
+		if r := at(i); r != nil && !r.waited {
 			p = r.p
 			break
 		}
@@ -21,7 +29,8 @@ func Waitany(reqs []*Request) (int, Status, error) {
 	}
 	p.poll()
 	for {
-		for i, r := range reqs {
+		for i := 0; i < n; i++ {
+			r := at(i)
 			if r == nil || r.waited {
 				continue // inactive: consumed by an earlier Wait
 			}
